@@ -10,7 +10,10 @@
 //	go test -bench=. -benchtime=1x -run '^$' . | benchjson [-o BENCH_PR.json]
 //
 // Lines that are not benchmark results (headers, PASS/ok trailers) are
-// ignored, so the raw `go test` stream can be piped in unfiltered.
+// ignored, so the raw `go test` stream can be piped in unfiltered. The
+// output's env records Go's header lines, the GOMAXPROCS the benchmarks
+// ran with (from their name suffix) and the CPU count of the machine
+// rendering it (nproc), so run it where the benchmarks ran.
 //
 // Compare:
 //
@@ -30,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 
 	"repro/internal/benchparse"
@@ -52,6 +57,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if results.Env == nil {
+		results.Env = map[string]string{}
+	}
+	results.Env["nproc"] = strconv.Itoa(runtime.NumCPU())
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -21,7 +21,8 @@ type Result struct {
 }
 
 // File is the parsed stream: the environment header lines Go prints
-// (goos/goarch/pkg/cpu) and the benchmarks in input order.
+// (goos/goarch/pkg/cpu) plus the GOMAXPROCS the benchmarks ran with, and
+// the benchmarks in input order.
 type File struct {
 	Env        map[string]string `json:"env,omitempty"`
 	Benchmarks []Result          `json:"benchmarks"`
@@ -41,6 +42,9 @@ func Parse(r io.Reader) (*File, error) {
 		switch {
 		case strings.HasPrefix(line, "Benchmark"):
 			if res, ok := parseLine(line); ok {
+				if len(f.Benchmarks) == 0 {
+					f.Env["gomaxprocs"] = gomaxprocs(line)
+				}
 				f.Benchmarks = append(f.Benchmarks, res)
 			}
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"),
@@ -120,6 +124,15 @@ func Compare(base, cur *File, prefixes, metrics []string, maxIncrease float64) [
 		}
 	}
 	return regs
+}
+
+// gomaxprocs returns the GOMAXPROCS a benchmark line ran with: the "-N"
+// suffix of its name, which Go omits when GOMAXPROCS is 1.
+func gomaxprocs(line string) string {
+	if m := cpuSuffix.FindString(strings.Fields(line)[0]); m != "" {
+		return m[1:]
+	}
+	return "1"
 }
 
 // parseLine parses one "BenchmarkX-8  N  v1 unit1  v2 unit2 ..." line.

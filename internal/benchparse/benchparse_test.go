@@ -21,7 +21,7 @@ func TestParseSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Env["goos"] != "linux" || f.Env["cpu"] == "" {
+	if f.Env["goos"] != "linux" || f.Env["cpu"] == "" || f.Env["gomaxprocs"] != "8" {
 		t.Fatalf("env not captured: %v", f.Env)
 	}
 	if len(f.Benchmarks) != 3 {

@@ -7,71 +7,143 @@
 // handshake, CRYPTO frames carry toy hello messages whose random values
 // seed the handshake and 1-RTT secrets. The derivation, AEAD, and header
 // protection code paths are the real algorithms.
+//
+// HMAC and HKDF run on stack buffers and allocate nothing beyond the
+// slices they append to; NewKeys allocates only the Keys and the cipher
+// objects it builds.
 package quiccrypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// initialSalt is the QUIC v1 initial salt (RFC 9001 §5.2).
-var initialSalt = []byte{
+// initialSalt is the QUIC v1 initial salt (RFC 9001 §5.2), keyed into
+// HMAC once.
+var initialSalt = newHMACKey([]byte{
 	0x38, 0x76, 0x2c, 0xf7, 0xf5, 0x59, 0x34, 0xb3, 0x4d, 0x17,
 	0x9a, 0xe6, 0xa4, 0xc8, 0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a,
+})
+
+// hmacKey is an HMAC-SHA256 key prepared once (RFC 2104): the key padded
+// to the block size and XORed with the inner and outer pad bytes. Every
+// MAC under it hashes from these pads into stack buffers, so keying a
+// secret once and expanding several labels from it allocates nothing.
+type hmacKey struct {
+	ipad, opad [sha256.BlockSize]byte
 }
 
-// HKDFExtract implements HKDF-Extract with SHA-256.
-func HKDFExtract(salt, ikm []byte) []byte {
-	h := hmac.New(sha256.New, salt)
-	h.Write(ikm)
-	return h.Sum(nil)
-}
-
-// HKDFExpand implements HKDF-Expand with SHA-256.
-func HKDFExpand(prk, info []byte, length int) []byte {
-	var out []byte
-	var prev []byte
-	for counter := byte(1); len(out) < length; counter++ {
-		h := hmac.New(sha256.New, prk)
-		h.Write(prev)
-		h.Write(info)
-		h.Write([]byte{counter})
-		prev = h.Sum(nil)
-		out = append(out, prev...)
+func newHMACKey(key []byte) hmacKey {
+	var k hmacKey
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
 	}
-	return out[:length]
+	copy(k.ipad[:], key)
+	copy(k.opad[:], key)
+	for i := range k.ipad {
+		k.ipad[i] ^= 0x36
+		k.opad[i] ^= 0x5c
+	}
+	return k
 }
 
-// HKDFExpandLabel implements the TLS 1.3 HkdfLabel expansion used by QUIC.
-func HKDFExpandLabel(secret []byte, label string, length int) []byte {
-	full := "tls13 " + label
-	info := make([]byte, 0, 4+len(full))
-	info = binary.BigEndian.AppendUint16(info, uint16(length))
-	info = append(info, byte(len(full)))
-	info = append(info, full...)
+// mac returns HMAC-SHA256 over the concatenation of msg.
+func (k *hmacKey) mac(msg ...[]byte) [sha256.Size]byte {
+	var inner, out [sha256.Size]byte
+	h := sha256.New()
+	h.Write(k.ipad[:])
+	for _, m := range msg {
+		h.Write(m)
+	}
+	h.Sum(inner[:0])
+	h.Reset()
+	h.Write(k.opad[:])
+	h.Write(inner[:])
+	h.Sum(out[:0])
+	return out
+}
+
+// expand appends length bytes of HKDF-Expand(prk, info) to dst, where k
+// is keyed with prk.
+func (k *hmacKey) expand(dst, info []byte, length int) []byte {
+	var t [sha256.Size]byte
+	var prev []byte
+	for counter := byte(1); length > 0; counter++ {
+		t = k.mac(prev, info, []byte{counter})
+		n := min(length, len(t))
+		dst = append(dst, t[:n]...)
+		length -= n
+		prev = t[:]
+	}
+	return dst
+}
+
+// expandLabel appends the TLS 1.3 HKDF-Expand-Label(secret, label, "",
+// length) used by QUIC (RFC 8446 §7.1) to dst, where k is keyed with the
+// secret.
+func (k *hmacKey) expandLabel(dst []byte, label string, length int) []byte {
+	const prefix = "tls13 "
+	var buf [64]byte
+	info := binary.BigEndian.AppendUint16(buf[:0], uint16(length))
+	info = append(info, byte(len(prefix)+len(label)))
+	info = append(info, prefix...)
+	info = append(info, label...)
 	info = append(info, 0) // empty context
-	return HKDFExpand(secret, info, length)
+	return k.expand(dst, info, length)
 }
 
-// Keys holds one direction's packet protection material.
+// HMAC appends HMAC-SHA256(key, msg[0] || msg[1] || ...) to dst.
+func HMAC(dst, key []byte, msg ...[]byte) []byte {
+	k := newHMACKey(key)
+	sum := k.mac(msg...)
+	return append(dst, sum[:]...)
+}
+
+// HKDFExtract appends HKDF-Extract(salt, ikm) with SHA-256 to dst.
+func HKDFExtract(dst, salt, ikm []byte) []byte {
+	return HMAC(dst, salt, ikm)
+}
+
+// HKDFExpand appends length bytes of HKDF-Expand(prk, info) with SHA-256
+// to dst.
+func HKDFExpand(dst, prk, info []byte, length int) []byte {
+	k := newHMACKey(prk)
+	return k.expand(dst, info, length)
+}
+
+// HKDFExpandLabel returns the TLS 1.3 HkdfLabel expansion used by QUIC.
+func HKDFExpandLabel(secret []byte, label string, length int) []byte {
+	k := newHMACKey(secret)
+	return k.expandLabel(nil, label, length)
+}
+
+// Keys holds one direction's packet protection material. The nonce and
+// the header-protection mask are computed in scratch buffers inside Keys,
+// so a Keys is not safe for concurrent use.
 type Keys struct {
-	aead cipher.AEAD
-	iv   []byte
-	hp   []byte // header protection key
+	aead     cipher.AEAD
+	hp       cipher.Block // header protection cipher
+	iv       [12]byte
+	nonceBuf [12]byte
+	mask     [aes.BlockSize]byte
 }
 
 // NewKeys derives AEAD and header-protection keys from a traffic secret
-// (RFC 9001 §5.1: the "quic key", "quic iv", "quic hp" labels).
+// (RFC 9001 §5.1: the "quic key", "quic iv", "quic hp" labels, all
+// expanded under one HMAC keying of the secret).
 func NewKeys(secret []byte) (*Keys, error) {
-	key := HKDFExpandLabel(secret, "quic key", 16)
-	iv := HKDFExpandLabel(secret, "quic iv", 12)
-	hp := HKDFExpandLabel(secret, "quic hp", 16)
-	block, err := aes.NewCipher(key)
+	prk := newHMACKey(secret)
+	var key, hpKey [16]byte
+	var iv [12]byte
+	prk.expandLabel(key[:0], "quic key", 16)
+	prk.expandLabel(iv[:0], "quic iv", 12)
+	prk.expandLabel(hpKey[:0], "quic hp", 16)
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, err
 	}
@@ -79,62 +151,71 @@ func NewKeys(secret []byte) (*Keys, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Keys{aead: aead, iv: iv, hp: hp}, nil
+	hp, err := aes.NewCipher(hpKey[:])
+	if err != nil {
+		return nil, err
+	}
+	return &Keys{aead: aead, hp: hp, iv: iv}, nil
 }
 
 // InitialSecrets derives the client and server initial traffic secrets from
 // the client's first destination connection ID (RFC 9001 §5.2).
 func InitialSecrets(dcid []byte) (client, server []byte) {
-	initial := HKDFExtract(initialSalt, dcid)
-	client = HKDFExpandLabel(initial, "client in", 32)
-	server = HKDFExpandLabel(initial, "server in", 32)
-	return client, server
+	initial := initialSalt.mac(dcid)
+	k := newHMACKey(initial[:])
+	secrets := k.expandLabel(make([]byte, 0, 64), "client in", 32)
+	secrets = k.expandLabel(secrets, "server in", 32)
+	return secrets[:32:32], secrets[32:]
 }
 
-// nonce computes the per-packet AEAD nonce: IV XOR packet number.
+// SessionSecrets derives the per-direction handshake and 1-RTT
+// application traffic secrets from the client hello and the server random
+// (the simplified TLS layer's stand-in for the TLS 1.3 key schedule; see
+// the package comment): one extract, then four labels under its key.
+func SessionSecrets(clientHello, serverRandom []byte) (hsClient, hsServer, appClient, appServer [32]byte) {
+	salt := newHMACKey(clientHello)
+	master := salt.mac(serverRandom)
+	k := newHMACKey(master[:])
+	k.expandLabel(hsClient[:0], "c hs traffic", 32)
+	k.expandLabel(hsServer[:0], "s hs traffic", 32)
+	k.expandLabel(appClient[:0], "c ap traffic", 32)
+	k.expandLabel(appServer[:0], "s ap traffic", 32)
+	return hsClient, hsServer, appClient, appServer
+}
+
+// nonce computes the per-packet AEAD nonce, IV XOR packet number, into the
+// keys' scratch buffer and returns it.
 func (k *Keys) nonce(pn uint64) []byte {
-	n := make([]byte, 12)
-	copy(n, k.iv)
+	k.nonceBuf = k.iv
 	for i := 0; i < 8; i++ {
-		n[11-i] ^= byte(pn >> (8 * i))
+		k.nonceBuf[11-i] ^= byte(pn >> (8 * i))
 	}
-	return n
+	return k.nonceBuf[:]
 }
 
 // Overhead returns the AEAD tag length added to sealed payloads.
 func (k *Keys) Overhead() int { return k.aead.Overhead() }
 
 // Seal encrypts payload with the packet number and associated data (the
-// packet header through the packet number field).
-func (k *Keys) Seal(payload []byte, pn uint64, ad []byte) []byte {
-	return k.aead.Seal(nil, k.nonce(pn), payload, ad)
+// packet header through the packet number field), appends the result to
+// dst and returns the extended slice. As with cipher.AEAD, dst's spare
+// capacity must not overlap payload (unless dst is payload[:0]) or ad.
+func (k *Keys) Seal(dst, payload []byte, pn uint64, ad []byte) []byte {
+	return k.aead.Seal(dst, k.nonce(pn), payload, ad)
 }
 
 // ErrDecrypt is returned when packet protection removal fails.
 var ErrDecrypt = errors.New("quiccrypto: payload authentication failed")
 
-// Open decrypts a sealed payload.
-func (k *Keys) Open(sealed []byte, pn uint64, ad []byte) ([]byte, error) {
-	out, err := k.aead.Open(nil, k.nonce(pn), sealed, ad)
+// Open decrypts a sealed payload, appends the plaintext to dst and returns
+// the extended slice. As with cipher.AEAD, sealed[:0] as dst decrypts in
+// place.
+func (k *Keys) Open(dst, sealed []byte, pn uint64, ad []byte) ([]byte, error) {
+	out, err := k.aead.Open(dst, k.nonce(pn), sealed, ad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return out, nil
-}
-
-// headerProtectionMask computes the 5-byte header protection mask from a
-// 16-byte ciphertext sample (AES-ECB of the sample under the hp key).
-func (k *Keys) headerProtectionMask(sample []byte) ([]byte, error) {
-	if len(sample) < 16 {
-		return nil, fmt.Errorf("quiccrypto: header protection sample too short (%d)", len(sample))
-	}
-	block, err := aes.NewCipher(k.hp)
-	if err != nil {
-		return nil, err
-	}
-	mask := make([]byte, 16)
-	block.Encrypt(mask, sample[:16])
-	return mask[:5], nil
 }
 
 // pnLen is the fixed packet number length used on the wire (quicwire emits
@@ -150,10 +231,10 @@ func (k *Keys) ProtectHeader(packet []byte, pnOffset int) error {
 	if sampleStart+16 > len(packet) {
 		return fmt.Errorf("quiccrypto: packet too short for header protection sample")
 	}
-	mask, err := k.headerProtectionMask(packet[sampleStart:])
-	if err != nil {
-		return err
-	}
+	// The mask is AES-ECB of the 16-byte ciphertext sample under the hp
+	// key; its first five bytes are used.
+	k.hp.Encrypt(k.mask[:], packet[sampleStart:sampleStart+16])
+	mask := k.mask[:5]
 	if packet[0]&0x80 != 0 {
 		packet[0] ^= mask[0] & 0x0F
 	} else {
@@ -172,44 +253,20 @@ func (k *Keys) UnprotectHeader(packet []byte, pnOffset int) error {
 	return k.ProtectHeader(packet, pnOffset) // XOR is symmetric
 }
 
-// HandshakeSecrets derives per-direction handshake traffic secrets from the
-// client and server hello randoms (the simplified TLS layer's stand-in for
-// the TLS 1.3 handshake secret; see the package comment).
-func HandshakeSecrets(clientRandom, serverRandom []byte) (client, server []byte) {
-	master := HKDFExtract(clientRandom, serverRandom)
-	client = HKDFExpandLabel(master, "c hs traffic", 32)
-	server = HKDFExpandLabel(master, "s hs traffic", 32)
-	return client, server
-}
-
-// AppSecrets derives per-direction 1-RTT application traffic secrets.
-func AppSecrets(clientRandom, serverRandom []byte) (client, server []byte) {
-	master := HKDFExtract(clientRandom, serverRandom)
-	client = HKDFExpandLabel(master, "c ap traffic", 32)
-	server = HKDFExpandLabel(master, "s ap traffic", 32)
-	return client, server
-}
-
 // ResetToken derives the 16-byte stateless reset token for a connection ID
 // under a static endpoint key (RFC 9000 §10.3.2 recommends a keyed
 // pseudorandom function of the CID).
 func ResetToken(staticKey, cid []byte) [16]byte {
-	h := hmac.New(sha256.New, staticKey)
-	h.Write(cid)
-	var token [16]byte
-	copy(token[:], h.Sum(nil))
-	return token
+	k := newHMACKey(staticKey)
+	sum := k.mac(cid)
+	return [16]byte(sum[:16])
 }
 
 // RetryTag computes the Retry pseudo-integrity tag binding a retry token to
 // the original DCID (a keyed MAC standing in for the AES-GCM retry tag of
 // RFC 9001 §5.8; same binding role, simpler construction).
 func RetryTag(staticKey, odcid, token []byte) [16]byte {
-	h := hmac.New(sha256.New, staticKey)
-	h.Write([]byte{byte(len(odcid))})
-	h.Write(odcid)
-	h.Write(token)
-	var tag [16]byte
-	copy(tag[:], h.Sum(nil))
-	return tag
+	k := newHMACKey(staticKey)
+	sum := k.mac([]byte{byte(len(odcid))}, odcid, token)
+	return [16]byte(sum[:16])
 }

@@ -60,22 +60,22 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 	payload := []byte("crypto frame bytes")
 	ad := []byte("header")
-	sealed := ck.Seal(payload, 7, ad)
+	sealed := ck.Seal(nil, payload, 7, ad)
 	if len(sealed) != len(payload)+ck.Overhead() {
 		t.Fatalf("sealed length %d", len(sealed))
 	}
-	opened, err := ck.Open(sealed, 7, ad)
+	opened, err := ck.Open(nil, sealed, 7, ad)
 	if err != nil || !bytes.Equal(opened, payload) {
 		t.Fatalf("open: %v %q", err, opened)
 	}
 	// Wrong packet number, AD, or keys must fail.
-	if _, err := ck.Open(sealed, 8, ad); err == nil {
+	if _, err := ck.Open(nil, sealed, 8, ad); err == nil {
 		t.Fatal("wrong pn accepted")
 	}
-	if _, err := ck.Open(sealed, 7, []byte("other")); err == nil {
+	if _, err := ck.Open(nil, sealed, 7, []byte("other")); err == nil {
 		t.Fatal("wrong AD accepted")
 	}
-	if _, err := sk.Open(sealed, 7, ad); err == nil {
+	if _, err := sk.Open(nil, sealed, 7, ad); err == nil {
 		t.Fatal("wrong direction keys accepted")
 	}
 }
@@ -83,7 +83,9 @@ func TestSealOpenRoundTrip(t *testing.T) {
 func TestNonceVariesWithPacketNumber(t *testing.T) {
 	client, _ := InitialSecrets([]byte{9})
 	k, _ := NewKeys(client)
-	if bytes.Equal(k.nonce(1), k.nonce(2)) {
+	// nonce returns the keys' scratch buffer, so compare copied values.
+	n1 := append([]byte(nil), k.nonce(1)...)
+	if bytes.Equal(n1, k.nonce(2)) {
 		t.Fatal("nonces must differ per packet number")
 	}
 	if len(k.nonce(0)) != 12 {
@@ -132,22 +134,20 @@ func TestHeaderProtectionShortSample(t *testing.T) {
 	}
 }
 
-func TestHandshakeAndAppSecretsDistinct(t *testing.T) {
+func TestSessionSecretsDistinct(t *testing.T) {
 	cr := []byte("client-random-0123456789abcdef")
 	sr := []byte("server-random-0123456789abcdef")
-	hc, hs := HandshakeSecrets(cr, sr)
-	ac, as := AppSecrets(cr, sr)
-	secrets := [][]byte{hc, hs, ac, as}
+	hc, hs, ac, as := SessionSecrets(cr, sr)
+	secrets := [][32]byte{hc, hs, ac, as}
 	for i := range secrets {
 		for j := i + 1; j < len(secrets); j++ {
-			if bytes.Equal(secrets[i], secrets[j]) {
+			if secrets[i] == secrets[j] {
 				t.Fatalf("secrets %d and %d collide", i, j)
 			}
 		}
 	}
 	// Deterministic for fixed inputs.
-	hc2, _ := HandshakeSecrets(cr, sr)
-	if !bytes.Equal(hc, hc2) {
+	if hc2, _, _, _ := SessionSecrets(cr, sr); hc != hc2 {
 		t.Fatal("handshake secret not deterministic")
 	}
 }
@@ -181,9 +181,9 @@ func TestRetryTagBindsTokenAndODCID(t *testing.T) {
 }
 
 func TestHKDFExpandLength(t *testing.T) {
-	prk := HKDFExtract(nil, []byte("ikm"))
+	prk := HKDFExtract(nil, nil, []byte("ikm"))
 	for _, n := range []int{1, 16, 32, 33, 64, 100} {
-		if got := len(HKDFExpand(prk, []byte("info"), n)); got != n {
+		if got := len(HKDFExpand(nil, prk, []byte("info"), n)); got != n {
 			t.Fatalf("HKDFExpand length %d, want %d", got, n)
 		}
 	}

@@ -3,9 +3,9 @@ package quicsim
 import (
 	"bytes"
 	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"repro/internal/quiccrypto"
@@ -57,6 +57,14 @@ type Server struct {
 	beh    behavior
 	static []byte // static key for reset tokens and retry tags
 
+	// Per-seed constants, computed once by NewServer and never mutated:
+	// the server's connection ID and hello random, the SERVER_HELLO crypto
+	// stream, and the stateless reset datagram for scid.
+	scid           []byte
+	serverRandom   []byte
+	serverHello    []byte
+	statelessReset []byte
+
 	// resetRNG survives Reset: it drives the mvfst profile's
 	// nondeterministic stateless RESETs across queries (Issue 2).
 	resetRNG *rand.Rand
@@ -64,13 +72,11 @@ type Server struct {
 	// Per-connection state, cleared by Reset.
 	est          bool
 	state        int
-	scid         []byte
 	clientCID    []byte // client's SCID: the DCID we send to
 	keys         [numSpaces]struct{ client, server *quiccrypto.Keys }
 	sendPN       [numSpaces]uint64
 	largestRecv  [numSpaces]uint64
-	serverRandom []byte
-	clientRandom []byte
+	clientRandom []byte // the client's CLIENT_HELLO, empty until received
 	cryptoSent   [numSpaces]uint64
 
 	clientStreamRecv uint64
@@ -97,10 +103,24 @@ type Server struct {
 	gapCount int
 	degraded bool
 
-	// frameScratch is the reused frame slice for the decode hot path. It
-	// is only touched under mu, and the parsed frames never outlive the
-	// packet being processed (applyFrameEffects copies what it keeps).
+	// Scratch buffers owned by the server and touched only under mu:
+	// frameScratch is the reused frame slice for the decode hot path, rx
+	// the buffer packets are decrypted in (the parsed frames alias it and
+	// never outlive the packet being processed; applyFrameEffects copies
+	// what it keeps), label the abstract input symbol, payload and header
+	// the plaintext of the packet being built, greeting its greeting text,
+	// and out the response list being assembled. Nothing handed to the
+	// transport lives in them: every response datagram is freshly
+	// allocated, because transports may hold datagrams past the call (the
+	// UDP server writes a whole read batch's responses at once, and netem
+	// duplicates and reorders them).
 	frameScratch []quicwire.Frame
+	rx           []byte
+	label        []byte
+	payload      []byte
+	header       []byte
+	greeting     []byte
+	out          [][]byte
 }
 
 // lossyRetransGapLimit is how many observed packet-number gaps flip the
@@ -113,24 +133,30 @@ const lossyRetransGapLimit = 1
 // NewServer returns a server in its initial state.
 func NewServer(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		beh:      behaviorFor(cfg.Profile),
-		static:   seedBytes(cfg.Seed, "static-key", 32),
-		resetRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
+		cfg:          cfg,
+		beh:          behaviorFor(cfg.Profile),
+		static:       seedBytes(cfg.Seed, "static-key", 32),
+		scid:         seedBytes(cfg.Seed, "scid", CIDLen),
+		serverRandom: seedBytes(cfg.Seed, "server-random", 32),
+		resetRNG:     rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
 	}
+	s.serverHello = append([]byte("SERVER_HELLO:"), s.serverRandom...)
+	// A stateless reset is unpredictable bytes shaped like a short-header
+	// packet, ending with the reset token for the connection ID the server
+	// handed out (RFC 9000 §10.3).
+	s.statelessReset = seedBytes(s.cfg.Seed, "reset-noise", 24)
+	s.statelessReset[0] = 0x40 | (s.statelessReset[0] & 0x3F)
+	token := quiccrypto.ResetToken(s.static, s.scid)
+	s.statelessReset = append(s.statelessReset, token[:]...)
 	s.resetLocked()
 	return s
 }
 
 // seedBytes derives deterministic pseudo-random bytes from a seed and label.
 func seedBytes(seed int64, label string, n int) []byte {
-	mac := hmac.New(sha256.New, []byte(label))
-	fmt.Fprintf(mac, "%d", seed)
-	out := mac.Sum(nil)
+	out := quiccrypto.HMAC(nil, []byte(label), strconv.AppendInt(nil, seed, 10))
 	for len(out) < n {
-		mac.Reset()
-		mac.Write(out)
-		out = mac.Sum(out)
+		out = quiccrypto.HMAC(out, []byte(label), out)
 	}
 	return out[:n]
 }
@@ -147,13 +173,11 @@ func (s *Server) Reset() {
 func (s *Server) resetLocked() {
 	s.est = false
 	s.state = 0
-	s.scid = seedBytes(s.cfg.Seed, "scid", CIDLen)
-	s.clientCID = nil
+	s.clientCID = s.clientCID[:0]
 	s.keys = [numSpaces]struct{ client, server *quiccrypto.Keys }{}
 	s.sendPN = [numSpaces]uint64{}
 	s.largestRecv = [numSpaces]uint64{}
-	s.serverRandom = seedBytes(s.cfg.Seed, "server-random", 32)
-	s.clientRandom = nil
+	s.clientRandom = s.clientRandom[:0]
 	s.cryptoSent = [numSpaces]uint64{}
 	s.clientStreamRecv = 0
 	s.respOffset = 0
@@ -181,7 +205,7 @@ func (s *Server) HandleDatagram(src string, datagram []byte) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	var out [][]byte
+	out := s.out[:0]
 	rest := datagram
 	for len(rest) > 0 {
 		hdr, err := quicwire.ParseHeader(rest, CIDLen)
@@ -195,9 +219,13 @@ func (s *Server) HandleDatagram(src string, datagram []byte) [][]byte {
 		}
 		pkt := rest[:hdr.PayloadEnd]
 		rest = rest[hdr.PayloadEnd:]
-		out = append(out, s.processPacket(src, pkt, hdr)...)
+		out = s.processPacket(out, src, pkt, hdr)
 	}
-	return out
+	// The list is handed out, so it leaves the scratch slice as a copy.
+	resp := append([][]byte(nil), out...)
+	clear(out)
+	s.out = out[:0]
+	return resp
 }
 
 // versionNegotiate answers an unknown-version long header with a Version
@@ -216,51 +244,54 @@ func (s *Server) versionNegotiate(data []byte) []byte {
 	return quicwire.AppendVersionNegotiation(nil, scid, dcid, []uint32{quicwire.Version1})
 }
 
-// processPacket handles a single (possibly coalesced-out) packet.
-func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]byte {
+// processPacket handles a single (possibly coalesced-out) packet,
+// appending the server's response datagrams to out.
+func (s *Server) processPacket(out [][]byte, src string, pkt []byte, hdr quicwire.Header) [][]byte {
 	// Connection admission on Initials.
 	if hdr.Type == quicwire.PacketInitial && !s.est {
 		if s.cfg.RetryRequired {
 			if len(hdr.Token) == 0 {
-				return [][]byte{s.buildRetry(src, hdr)}
+				return append(out, s.buildRetry(src, hdr))
 			}
 			if !s.validToken(src, hdr.DCID, hdr.Token) {
-				return nil
+				return out
 			}
 		}
 		s.acceptConnection(hdr)
 	}
 	if !s.est {
-		return nil // no connection: nothing can be decrypted
+		return out // no connection: nothing can be decrypted
 	}
 
 	space, ok := spaceForType(hdr.Type)
 	if !ok {
-		return nil // Retry/VN from a client is meaningless; drop
+		return out // Retry/VN from a client is meaningless; drop
 	}
 	keys := s.keys[space].client
 	if keys == nil {
-		return nil // keys not derivable yet: drop (realistic behaviour)
+		return out // keys not derivable yet: drop (realistic behaviour)
 	}
 
-	// Remove header protection and packet protection.
-	buf := append([]byte(nil), pkt...)
+	// Remove header protection and packet protection in the receive
+	// buffer, decrypting the payload in place.
+	buf := append(s.rx[:0], pkt...)
+	s.rx = buf
 	if err := keys.UnprotectHeader(buf, hdr.PNOffset); err != nil {
-		return nil
+		return out
 	}
 	pn, err := quicwire.DecodePacketNumber(buf, hdr.PNOffset)
 	if err != nil {
-		return nil
+		return out
 	}
-	ad := buf[:hdr.PNOffset+4]
-	payload, err := keys.Open(buf[hdr.PNOffset+4:hdr.PayloadEnd], pn, ad)
+	pnEnd := hdr.PNOffset + 4
+	payload, err := keys.Open(buf[pnEnd:pnEnd], buf[pnEnd:hdr.PayloadEnd], pn, buf[:pnEnd])
 	if err != nil {
-		return nil
+		return out
 	}
 	frames, err := quicwire.ParseFramesAppend(s.frameScratch[:0], payload)
 	s.frameScratch = frames[:0]
 	if err != nil {
-		return nil
+		return out
 	}
 	if pn > s.largestRecv[space] {
 		s.largestRecv[space] = pn
@@ -288,21 +319,24 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 	}
 
 	// Abstract the packet and step the behaviour machine.
-	sym := fmt.Sprintf("%s(?,?)[%s]", hdr.Type, quicwire.FrameNames(frames))
 	if s.beh.closedState >= 0 && s.state == s.beh.closedState {
 		// Issue 2: the mvfst closed state answers probes with a stateless
 		// RESET only ~82% of the time, with no back-off.
 		if s.resetRNG.Float64() < 0.82 {
-			return [][]byte{s.buildStatelessReset()}
+			return append(out, append([]byte(nil), s.statelessReset...))
 		}
-		return nil
+		return out
 	}
-	tr, ok := s.beh.table[s.state][sym]
+	sym := append(s.label[:0], hdr.Type.String()...)
+	sym = append(sym, "(?,?)["...)
+	sym = quicwire.AppendFrameNames(sym, frames)
+	sym = append(sym, ']')
+	s.label = sym
+	tr, ok := s.beh.table[s.state][string(sym)]
 	if !ok {
-		return nil // symbol outside the modelled alphabet: drop
+		return out // symbol outside the modelled alphabet: drop
 	}
 	s.state = tr.next
-	var out [][]byte
 	for _, spec := range tr.out {
 		out = append(out, s.buildPacket(spec))
 		if s.degraded {
@@ -318,7 +352,7 @@ func (s *Server) processPacket(src string, pkt []byte, hdr quicwire.Header) [][]
 // acceptConnection creates connection state from a client Initial.
 func (s *Server) acceptConnection(hdr quicwire.Header) {
 	s.est = true
-	s.clientCID = append([]byte(nil), hdr.SCID...)
+	s.clientCID = append(s.clientCID[:0], hdr.SCID...)
 	clientSecret, serverSecret := quiccrypto.InitialSecrets(hdr.DCID)
 	s.keys[spaceInitial].client = mustKeys(clientSecret)
 	s.keys[spaceInitial].server = mustKeys(serverSecret)
@@ -329,8 +363,8 @@ func (s *Server) applyFrameEffects(space int, frames []quicwire.Frame) {
 	for _, f := range frames {
 		switch f.Type {
 		case quicwire.FrameCrypto:
-			if space == spaceInitial && s.clientRandom == nil && len(f.Data) > 0 {
-				s.clientRandom = append([]byte(nil), f.Data...)
+			if space == spaceInitial && len(s.clientRandom) == 0 && len(f.Data) > 0 {
+				s.clientRandom = append(s.clientRandom[:0], f.Data...)
 				s.deriveSessionKeys()
 			}
 		case quicwire.FrameStream:
@@ -348,12 +382,11 @@ func (s *Server) applyFrameEffects(space int, frames []quicwire.Frame) {
 // deriveSessionKeys derives handshake and 1-RTT keys once both hello
 // randoms are known.
 func (s *Server) deriveSessionKeys() {
-	hc, hs := quiccrypto.HandshakeSecrets(s.clientRandom, s.serverRandom)
-	ac, as := quiccrypto.AppSecrets(s.clientRandom, s.serverRandom)
-	s.keys[spaceHandshake].client = mustKeys(hc)
-	s.keys[spaceHandshake].server = mustKeys(hs)
-	s.keys[spaceApp].client = mustKeys(ac)
-	s.keys[spaceApp].server = mustKeys(as)
+	hc, hs, ac, as := quiccrypto.SessionSecrets(s.clientRandom, s.serverRandom)
+	s.keys[spaceHandshake].client = mustKeys(hc[:])
+	s.keys[spaceHandshake].server = mustKeys(hs[:])
+	s.keys[spaceApp].client = mustKeys(ac[:])
+	s.keys[spaceApp].server = mustKeys(as[:])
 }
 
 func mustKeys(secret []byte) *quiccrypto.Keys {
@@ -376,27 +409,37 @@ func spaceForType(t quicwire.PacketType) (int, bool) {
 	return 0, false
 }
 
+// The server's later crypto messages and its response bytes: read-only
+// data that output frames slice.
+var (
+	handshakeCrypto = []byte("ENCRYPTED_EXTENSIONS;CERTIFICATE;CERT_VERIFY;FINISHED-------------")
+	appCrypto       = []byte("NEW_SESSION_TICKET:ticket-0001")
+	responseBytes   = bytes.Repeat([]byte{'r'}, RespTotal)
+)
+
 // serverCryptoStream returns the full server crypto byte stream for a
 // packet-number space: the simplified TLS messages of this repo's toy
 // handshake layer.
 func (s *Server) serverCryptoStream(space int) []byte {
 	switch space {
 	case spaceInitial:
-		return append([]byte("SERVER_HELLO:"), s.serverRandom...)
+		return s.serverHello
 	case spaceHandshake:
-		return []byte("ENCRYPTED_EXTENSIONS;CERTIFICATE;CERT_VERIFY;FINISHED-------------")
+		return handshakeCrypto
 	default:
-		return []byte("NEW_SESSION_TICKET:ticket-0001")
+		return appCrypto
 	}
 }
 
 // buildPacket constructs, seals, and header-protects one output packet.
+// The payload and header are built in scratch buffers; the returned
+// datagram is a fresh allocation of exactly its size.
 func (s *Server) buildPacket(spec PacketSpec) []byte {
 	space, _ := spaceForType(spec.Type)
 	pn := s.sendPN[space]
 	s.sendPN[space]++
 
-	var payload []byte
+	payload := s.payload[:0]
 	for _, ft := range spec.Frames {
 		payload = quicwire.AppendFrame(payload, s.buildFrame(space, spec, ft))
 	}
@@ -404,18 +447,21 @@ func (s *Server) buildPacket(spec PacketSpec) []byte {
 	for len(payload) < 20 {
 		payload = append(payload, 0) // PADDING
 	}
+	s.payload = payload
 
 	keys := s.keys[space].server
-	var buf []byte
+	var hdr []byte
 	var pnOffset int
 	sealedLen := len(payload) + keys.Overhead()
 	if spec.Type == quicwire.PacketShort {
-		buf, pnOffset = quicwire.AppendShortHeader(nil, s.clientCID, pn)
+		hdr, pnOffset = quicwire.AppendShortHeader(s.header[:0], s.clientCID, pn)
 	} else {
-		buf, pnOffset = quicwire.AppendLongHeader(nil, spec.Type, s.clientCID, s.scid, nil, pn, sealedLen)
+		hdr, pnOffset = quicwire.AppendLongHeader(s.header[:0], spec.Type, s.clientCID, s.scid, nil, pn, sealedLen)
 	}
-	ad := append([]byte(nil), buf...)
-	buf = append(buf, keys.Seal(payload, pn, ad)...)
+	s.header = hdr
+	buf := make([]byte, len(hdr), len(hdr)+sealedLen)
+	copy(buf, hdr)
+	buf = keys.Seal(buf, payload, pn, hdr)
 	if err := keys.ProtectHeader(buf, pnOffset); err != nil {
 		panic(fmt.Sprintf("quicsim: header protection: %v", err))
 	}
@@ -446,8 +492,8 @@ func (s *Server) buildFrame(space int, spec PacketSpec, ft quicwire.FrameType) q
 		if spec.Greeting {
 			id := uint64(3 + 4*s.greetingsSent) // server-initiated unidirectional
 			s.greetingsSent++
-			return quicwire.Frame{Type: quicwire.FrameStream, StreamID: id,
-				Data: []byte(fmt.Sprintf("greeting-%d", id))}
+			s.greeting = strconv.AppendUint(append(s.greeting[:0], "greeting-"...), id, 10)
+			return quicwire.Frame{Type: quicwire.FrameStream, StreamID: id, Data: s.greeting}
 		}
 		return s.buildResponseStream()
 	case quicwire.FrameStreamDataBlocked:
@@ -482,8 +528,9 @@ func (s *Server) buildResponseStream() quicwire.Frame {
 	if remaining := total - s.respOffset; n > remaining {
 		n = remaining
 	}
-	data := bytes.Repeat([]byte{'r'}, int(n))
-	f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0, Offset: s.respOffset, Data: data}
+	// n never exceeds RespTotal: the Google profiles send RespTotal bytes
+	// in all, quiche one Chunk past its offset.
+	f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0, Offset: s.respOffset, Data: responseBytes[:n]}
 	s.respOffset += n
 	f.Fin = s.cfg.Profile != ProfileQuiche && s.respOffset == total
 	return f
@@ -499,10 +546,7 @@ func (s *Server) buildRetry(src string, hdr quicwire.Header) []byte {
 
 // tokenFor derives the retry token for a source address.
 func (s *Server) tokenFor(src string) []byte {
-	mac := hmac.New(sha256.New, s.static)
-	mac.Write([]byte("retry-token"))
-	mac.Write([]byte(src))
-	return mac.Sum(nil)[:16]
+	return quiccrypto.HMAC(nil, s.static, []byte("retry-token"), []byte(src))[:16]
 }
 
 // validToken checks a retry token against the claimed source address.
@@ -512,17 +556,6 @@ func (s *Server) validToken(src string, dcid, token []byte) bool {
 		return false
 	}
 	return hmac.Equal(token[:len(want)], want)
-}
-
-// buildStatelessReset constructs a stateless reset datagram: unpredictable
-// bytes shaped like a short-header packet, ending with the reset token for
-// the connection ID the server handed out (RFC 9000 §10.3).
-func (s *Server) buildStatelessReset() []byte {
-	buf := make([]byte, 24)
-	copy(buf, seedBytes(s.cfg.Seed, "reset-noise", 24))
-	buf[0] = 0x40 | (buf[0] & 0x3F)
-	token := quiccrypto.ResetToken(s.static, s.scid)
-	return append(buf, token[:]...)
 }
 
 // ResetTokenForTests exposes the server's stateless reset token so clients

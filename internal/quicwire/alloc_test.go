@@ -36,6 +36,7 @@ func TestEncodeAllocs(t *testing.T) {
 // TestDecodeAllocs pins the steady-state decode hot path at zero
 // allocations: ParseFramesAppend with a reused frame slice must alias the
 // payload rather than copy, and ParseHeader takes no heap at all.
+// ParseFrames, whose frames callers keep, makes two allocations.
 func TestDecodeAllocs(t *testing.T) {
 	var payload []byte
 	payload = AppendFrame(payload, Frame{Type: FrameAck, AckLargest: 3, AckDelay: 25, AckRange: 3})
@@ -53,6 +54,15 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatalf("ParseFramesAppend steady state allocates %.1f allocs/op, want 0", avg)
 	}
 
+	// The copying decode allocates only its payload copy and the frame list.
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := ParseFrames(payload); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+	}); avg > 2 {
+		t.Fatalf("ParseFrames allocates %.1f allocs/op, want at most 2", avg)
+	}
+
 	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	pkt, _ := AppendShortHeader(make([]byte, 0, 64), dcid, 77)
 	pkt = append(pkt, payload...)
@@ -62,5 +72,22 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("ParseHeader allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestFrameNamesAllocs pins label building at zero allocations when it
+// appends into a buffer with capacity.
+func TestFrameNamesAllocs(t *testing.T) {
+	frames := []Frame{
+		{Type: FrameStream}, {Type: FrameAck}, {Type: FrameStreamDataBlocked}, {Type: FrameStream},
+	}
+	buf := make([]byte, 0, 64)
+	if avg := testing.AllocsPerRun(200, func() {
+		buf = AppendFrameNames(buf[:0], frames)
+	}); avg != 0 {
+		t.Fatalf("AppendFrameNames allocates %.1f allocs/op, want 0", avg)
+	}
+	if string(buf) != "ACK,STREAM,STREAM_DATA_BLOCKED" {
+		t.Fatalf("AppendFrameNames = %q", buf)
 	}
 }

@@ -5,10 +5,9 @@
 package quicwire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/wire"
 )
@@ -40,7 +39,9 @@ const (
 	FrameHandshakeDone      FrameType = 0x1e
 )
 
-var frameNames = map[FrameType]string{
+// frameNames is indexed by frame type; gaps are the types this package
+// does not model.
+var frameNames = [...]string{
 	FramePadding:            "PADDING",
 	FramePing:               "PING",
 	FrameAck:                "ACK",
@@ -65,8 +66,8 @@ var frameNames = map[FrameType]string{
 
 // String returns the frame type's specification name.
 func (t FrameType) String() string {
-	if n, ok := frameNames[t]; ok {
-		return n
+	if t < FrameType(len(frameNames)) && frameNames[t] != "" {
+		return frameNames[t]
 	}
 	return fmt.Sprintf("FRAME_%#x", uint64(t))
 }
@@ -209,10 +210,16 @@ func AppendFrame(b []byte, f Frame) []byte {
 }
 
 // ParseFrames decodes all frames in a packet payload. Byte fields of the
-// returned frames (Data, Token, ConnectionID) are copies, safe to retain
-// after the payload buffer is reused.
+// returned frames (Data, Token, ConnectionID) point into one private copy
+// of the payload, so they are safe to retain after the payload buffer is
+// reused; the decode allocates that copy and the frame list.
 func ParseFrames(payload []byte) ([]Frame, error) {
-	return parseFrames(nil, payload, false)
+	var scratch [8]Frame
+	frames, err := parseFrames(scratch[:0], bytes.Clone(payload))
+	if err != nil {
+		return nil, err
+	}
+	return append([]Frame(nil), frames...), nil
 }
 
 // ParseFramesAppend is the zero-allocation decode path: parsed frames are
@@ -222,14 +229,14 @@ func ParseFrames(payload []byte) ([]Frame, error) {
 // copy; steady-state decoding with a reused dst and payload performs no
 // allocations.
 func ParseFramesAppend(dst []Frame, payload []byte) ([]Frame, error) {
-	return parseFrames(dst, payload, true)
+	return parseFrames(dst, payload)
 }
 
-func parseFrames(dst []Frame, payload []byte, alias bool) ([]Frame, error) {
+func parseFrames(dst []Frame, payload []byte) ([]Frame, error) {
 	r := wire.NewReader(payload)
 	frames := dst
 	for r.Len() > 0 {
-		f, err := parseFrame(r, alias)
+		f, err := parseFrame(r)
 		if err != nil {
 			return nil, err
 		}
@@ -242,19 +249,17 @@ func parseFrames(dst []Frame, payload []byte, alias bool) ([]Frame, error) {
 	return frames, nil
 }
 
-// keep returns b aliased or copied per the alias flag, preserving the
-// nil-for-empty convention of the copying path.
-func keep(b []byte, alias bool) []byte {
+// keep returns the payload bytes of a field: nil when empty, otherwise b
+// with its capacity cut to its length, so appending to one frame's bytes
+// cannot overwrite the next frame's.
+func keep(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	if alias {
-		return b
-	}
-	return append([]byte(nil), b...)
+	return b[:len(b):len(b)]
 }
 
-func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
+func parseFrame(r *wire.Reader) (Frame, error) {
 	t := r.Varint()
 	if r.Err() != nil {
 		return Frame{}, ErrTruncatedFrame
@@ -295,11 +300,11 @@ func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
 		f.Type = FrameCrypto
 		f.Offset = r.Varint()
 		n := r.Varint()
-		f.Data = keep(r.Bytes(int(n)), alias)
+		f.Data = keep(r.Bytes(int(n)))
 	case t == uint64(FrameNewToken):
 		f.Type = FrameNewToken
 		n := r.Varint()
-		f.Token = keep(r.Bytes(int(n)), alias)
+		f.Token = keep(r.Bytes(int(n)))
 	case t >= 0x08 && t <= 0x0f: // STREAM with OFF/LEN/FIN bits
 		f.Type = FrameStream
 		f.Fin = t&0x01 != 0
@@ -309,9 +314,9 @@ func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
 		}
 		if t&0x02 != 0 {
 			n := r.Varint()
-			f.Data = keep(r.Bytes(int(n)), alias)
+			f.Data = keep(r.Bytes(int(n)))
 		} else {
-			f.Data = keep(r.Rest(), alias)
+			f.Data = keep(r.Rest())
 		}
 	case t == uint64(FrameMaxData):
 		f.Type = FrameMaxData
@@ -338,7 +343,7 @@ func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
 		f.SeqNumber = r.Varint()
 		f.RetirePrior = r.Varint()
 		n := int(r.Byte())
-		f.ConnectionID = keep(r.Bytes(n), alias)
+		f.ConnectionID = keep(r.Bytes(n))
 		copy(f.ResetToken[:], r.Bytes(16))
 	case t == uint64(FrameRetireConnectionID):
 		f.Type = FrameRetireConnectionID
@@ -368,23 +373,43 @@ func parseFrame(r *wire.Reader, alias bool) (Frame, error) {
 // list in the paper's bracket notation order (e.g. "ACK,CRYPTO"). ACK sorts
 // first to mirror the paper's symbols; remaining names sort alphabetically.
 func FrameNames(frames []Frame) string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, f := range frames {
-		n := f.Type.String()
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
+	return string(AppendFrameNames(nil, frames))
+}
+
+// AppendFrameNames appends FrameNames(frames) to dst. It selects the names
+// in label order by repeated scans of the (short) frame list, so it needs
+// no set or sort buffer and allocates nothing beyond dst's growth.
+func AppendFrameNames(dst []byte, frames []Frame) []byte {
+	last := ""
+	for first := true; ; first = false {
+		next, found := "", false
+		for _, f := range frames {
+			n := f.Type.String()
+			if (first || labelLess(last, n)) && (!found || labelLess(n, next)) {
+				next, found = n, true
+			}
 		}
+		if !found {
+			return dst
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, next...)
+		last = next
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if names[i] == "ACK" {
-			return true
-		}
-		if names[j] == "ACK" {
-			return false
-		}
-		return names[i] < names[j]
-	})
-	return strings.Join(names, ",")
+}
+
+// labelLess orders frame names as abstract symbols list them: ACK first,
+// the rest alphabetically.
+func labelLess(a, b string) bool {
+	switch {
+	case a == b:
+		return false
+	case a == "ACK":
+		return true
+	case b == "ACK":
+		return false
+	}
+	return a < b
 }

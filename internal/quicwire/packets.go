@@ -21,7 +21,7 @@ const (
 	PacketStatelessReset
 )
 
-var packetNames = map[PacketType]string{
+var packetNames = [...]string{
 	PacketInitial:            "INITIAL",
 	PacketZeroRTT:            "0RTT",
 	PacketHandshake:          "HANDSHAKE",
@@ -33,8 +33,8 @@ var packetNames = map[PacketType]string{
 
 // String returns the packet type's name as used in abstract symbols.
 func (t PacketType) String() string {
-	if n, ok := packetNames[t]; ok {
-		return n
+	if t >= 0 && int(t) < len(packetNames) {
+		return packetNames[t]
 	}
 	return fmt.Sprintf("PACKET_%d", int(t))
 }

@@ -2,7 +2,10 @@ package quicwire
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +86,34 @@ func TestFrameNames(t *testing.T) {
 	}
 	if got := FrameNames(nil); got != "" {
 		t.Fatalf("FrameNames(nil) = %q", got)
+	}
+}
+
+// TestFrameNamesMatchesSortedSet checks the scan-based label builder
+// against the direct definition (de-duplicate the names, then sort with ACK
+// first) on random frame lists, unknown frame types included.
+func TestFrameNamesMatchesSortedSet(t *testing.T) {
+	want := func(frames []Frame) string {
+		seen := map[string]bool{}
+		var names []string
+		for _, f := range frames {
+			if n := f.Type.String(); !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+		sort.Slice(names, func(i, j int) bool { return labelLess(names[i], names[j]) })
+		return strings.Join(names, ",")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		frames := make([]Frame, rng.Intn(7))
+		for i := range frames {
+			frames[i].Type = FrameType(rng.Intn(0x22))
+		}
+		if got, w := FrameNames(frames), want(frames); got != w {
+			t.Fatalf("FrameNames(%v) = %q, want %q", frames, got, w)
+		}
 	}
 }
 

@@ -7,15 +7,15 @@
 //     ACKs are queued and folded into later requested symbols),
 //  2. concrete packets match the requested abstract symbols,
 //  3. both endpoints reset on request,
-//  4. every exchange is recorded with its abstract and concrete forms for
-//     the Oracle Table, and
+//  4. every exchange of the current connection is recorded with its
+//     abstract and concrete forms for the Oracle Table (Reset starts a new
+//     record, so a learn's memory does not grow with its query count), and
 //  5. responses are abstracted back to the learner's alphabet.
 package reference
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/quiccrypto"
@@ -78,10 +78,12 @@ type QUICClient struct {
 	tr    Transport
 	seq   int // connection attempt counter, drives fresh CIDs
 	port  int
+	src   string // the source address for port
 	trace []Exchange
 
 	dcid, scid   []byte
-	clientRandom []byte
+	hello        []byte // CLIENT_HELLO message: prefix and client random
+	finished     []byte // FINISHED message
 	serverRandom []byte
 	retryToken   []byte
 	keys         [3]struct{ send, recv *quiccrypto.Keys }
@@ -92,6 +94,25 @@ type QUICClient struct {
 	fcRaises     int
 	streamSent   uint64
 	reqCount     int
+
+	// symbols memoizes parsed abstract input symbols by their text.
+	symbols map[string]symbol
+
+	// Scratch buffers the client owns and reuses on every step: the
+	// plaintext and header of the packet being built, the buffer response
+	// packets are decrypted in, and the output label being assembled.
+	// Nothing handed to the transport or recorded in the trace lives in
+	// them: the outgoing datagram is a fresh allocation, because a
+	// Transport may keep what it is given, and recorded frames are copies.
+	payload, header, rx, label []byte
+}
+
+// symbol is a parsed abstract input symbol.
+type symbol struct {
+	pt     quicwire.PacketType
+	badver bool
+	space  int
+	frames []string
 }
 
 // NewQUICClient returns a client speaking to the given transport.
@@ -99,23 +120,36 @@ func NewQUICClient(cfg QUICClientConfig, tr Transport) *QUICClient {
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 40000
 	}
-	c := &QUICClient{cfg: cfg, tr: tr}
+	c := &QUICClient{cfg: cfg, tr: tr, symbols: make(map[string]symbol)}
 	c.Reset()
 	return c
 }
 
-// src returns the client's current source address.
-func (c *QUICClient) src() string { return fmt.Sprintf("10.0.0.2:%d", c.port) }
+// setPort moves the client to a source port.
+func (c *QUICClient) setPort(port int) {
+	c.port = port
+	c.src = "10.0.0.2:" + strconv.Itoa(port)
+}
 
-// Reset implements Adapter property (3): a fresh connection with fresh CIDs
-// and cleared crypto state. The per-reset values are derived from the seed
-// and attempt counter so runs are reproducible.
+// Reset implements Adapter properties (3) and (4): a fresh connection with
+// fresh CIDs, cleared crypto state and a new Oracle Table record. The
+// per-reset values are derived from the seed and attempt counter so runs
+// are reproducible.
 func (c *QUICClient) Reset() error {
 	c.seq++
-	c.port = c.cfg.BasePort
-	c.dcid = clientSeedBytes(c.cfg.Seed, c.seq, "dcid", quicsim.CIDLen)
-	c.scid = clientSeedBytes(c.cfg.Seed, c.seq, "scid", quicsim.CIDLen)
-	c.clientRandom = clientSeedBytes(c.cfg.Seed, c.seq, "client-random", 32)
+	if c.src == "" || c.port != c.cfg.BasePort {
+		c.setPort(c.cfg.BasePort)
+	}
+	c.trace = nil
+	c.dcid = clientSeedBytes(c.dcid[:0], c.cfg.Seed, c.seq, "dcid", quicsim.CIDLen)
+	c.scid = clientSeedBytes(c.scid[:0], c.cfg.Seed, c.seq, "scid", quicsim.CIDLen)
+	// The hello messages are sent in CRYPTO frames that the trace records,
+	// so they get fresh storage per connection.
+	const helloPrefix, finishedPrefix = "CLIENT_HELLO:", "FINISHED:"
+	msgs := make([]byte, 0, len(helloPrefix)+32+len(finishedPrefix)+16)
+	c.hello = clientSeedBytes(append(msgs, helloPrefix...), c.cfg.Seed, c.seq, "client-random", 32)
+	c.finished = append(c.hello[len(c.hello):], finishedPrefix...)
+	c.finished = append(c.finished, c.hello[len(helloPrefix):len(helloPrefix)+16]...)
 	c.serverRandom = nil
 	c.retryToken = nil
 	c.keys = [3]struct{ send, recv *quiccrypto.Keys }{}
@@ -132,22 +166,24 @@ func (c *QUICClient) Reset() error {
 	return nil
 }
 
-// Trace returns the recorded exchanges since construction (property 4).
+// Trace returns the exchanges recorded since the last Reset (property 4).
 func (c *QUICClient) Trace() []Exchange { return c.trace }
 
 // ClearTrace discards recorded exchanges.
 func (c *QUICClient) ClearTrace() { c.trace = nil }
 
-func clientSeedBytes(seed int64, attempt int, label string, n int) []byte {
-	mac := hmac.New(sha256.New, []byte(label))
-	fmt.Fprintf(mac, "client/%d/%d", seed, attempt)
-	out := mac.Sum(nil)
-	for len(out) < n {
-		mac.Reset()
-		mac.Write(out)
-		out = mac.Sum(out)
+// clientSeedBytes appends n deterministic pseudo-random bytes, derived from
+// the seed, connection attempt and label, to dst.
+func clientSeedBytes(dst []byte, seed int64, attempt int, label string, n int) []byte {
+	var buf [48]byte
+	msg := strconv.AppendInt(append(buf[:0], "client/"...), seed, 10)
+	msg = strconv.AppendInt(append(msg, '/'), int64(attempt), 10)
+	start := len(dst)
+	dst = quiccrypto.HMAC(dst, []byte(label), msg)
+	for len(dst)-start < n {
+		dst = quiccrypto.HMAC(dst, []byte(label), dst[start:])
 	}
-	return out[:n]
+	return dst[:start+n]
 }
 
 func mustKeys(secret []byte) *quiccrypto.Keys {
@@ -162,16 +198,21 @@ func mustKeys(secret []byte) *quiccrypto.Keys {
 // the abstract output symbol (property 5). Unknown symbols are an error:
 // the adapter's alphabet is fixed up front.
 func (c *QUICClient) Step(abstract string) (string, error) {
-	pt, badver, frames, err := parseAbstract(abstract)
-	if err != nil {
-		return "", err
-	}
-	space, ok := spaceFor(pt)
+	sym, ok := c.symbols[abstract]
 	if !ok {
-		return "", fmt.Errorf("reference: cannot send packet type %v", pt)
+		pt, badver, frames, err := parseAbstract(abstract)
+		if err != nil {
+			return "", err
+		}
+		space, ok := spaceFor(pt)
+		if !ok {
+			return "", fmt.Errorf("reference: cannot send packet type %v", pt)
+		}
+		sym = symbol{pt: pt, badver: badver, space: space, frames: frames}
+		c.symbols[abstract] = sym
 	}
-	concIn, datagram := c.buildPacket(pt, badver, space, frames)
-	responses := c.tr.Send(c.src(), datagram)
+	concIn, datagram := c.buildPacket(sym.pt, sym.badver, sym.space, sym.frames)
+	responses := c.tr.Send(c.src, datagram)
 	absOut, concOut := c.processResponses(responses)
 	c.trace = append(c.trace, Exchange{
 		AbstractIn: abstract, AbstractOut: absOut,
@@ -233,11 +274,14 @@ func (c *QUICClient) sendKeys(space int) *quiccrypto.Keys {
 		return k
 	}
 	if c.placeholder[space].send == nil {
-		secret := clientSeedBytes(c.cfg.Seed, c.seq, fmt.Sprintf("placeholder-%d", space), 32)
+		var buf [32]byte
+		secret := clientSeedBytes(buf[:0], c.cfg.Seed, c.seq, placeholderLabels[space], 32)
 		c.placeholder[space].send = mustKeys(secret)
 	}
 	return c.placeholder[space].send
 }
+
+var placeholderLabels = [3]string{"placeholder-0", "placeholder-1", "placeholder-2"}
 
 // buildPacket constructs the concrete packet for the abstract symbol,
 // consuming any queued reactive ACK for the space (property 1).
@@ -245,24 +289,28 @@ func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int,
 	pn := c.sendPN[space]
 	c.sendPN[space]++
 	var frames []quicwire.Frame
-	for _, name := range frameNames {
-		frames = append(frames, c.buildFrame(space, name))
+	if len(frameNames) > 0 {
+		frames = make([]quicwire.Frame, len(frameNames))
+	}
+	for i, name := range frameNames {
+		frames[i] = c.buildFrame(space, name)
 	}
 	c.ackQueue[space] = false // any queued ACK is folded in or superseded
 
-	var payload []byte
+	payload := c.payload[:0]
 	for _, f := range frames {
 		payload = quicwire.AppendFrame(payload, f)
 	}
 	for len(payload) < 20 {
 		payload = append(payload, 0) // PADDING up to the HP sample size
 	}
+	c.payload = payload
 	keys := c.sendKeys(space)
-	var buf []byte
+	var hdr []byte
 	var pnOffset int
 	sealedLen := len(payload) + keys.Overhead()
 	if pt == quicwire.PacketShort {
-		buf, pnOffset = quicwire.AppendShortHeader(nil, c.serverCID(), pn)
+		hdr, pnOffset = quicwire.AppendShortHeader(c.header[:0], c.serverCID(), pn)
 	} else {
 		var token []byte
 		if pt == quicwire.PacketInitial {
@@ -272,10 +320,12 @@ func (c *QUICClient) buildPacket(pt quicwire.PacketType, badver bool, space int,
 		if badver {
 			version = quicwire.VersionGrease
 		}
-		buf, pnOffset = quicwire.AppendLongHeaderVersion(nil, pt, version, c.serverCID(), c.scid, token, pn, sealedLen)
+		hdr, pnOffset = quicwire.AppendLongHeaderVersion(c.header[:0], pt, version, c.serverCID(), c.scid, token, pn, sealedLen)
 	}
-	ad := append([]byte(nil), buf...)
-	buf = append(buf, keys.Seal(payload, pn, ad)...)
+	c.header = hdr
+	buf := make([]byte, len(hdr), len(hdr)+sealedLen)
+	copy(buf, hdr)
+	buf = keys.Seal(buf, payload, pn, hdr)
 	if err := keys.ProtectHeader(buf, pnOffset); err != nil {
 		panic(fmt.Sprintf("reference: header protection: %v", err))
 	}
@@ -302,11 +352,9 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 		return quicwire.Frame{Type: quicwire.FrameAck, AckLargest: largest, AckRange: largest}
 	case "CRYPTO":
 		if space == 0 {
-			return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0,
-				Data: append([]byte("CLIENT_HELLO:"), c.clientRandom...)}
+			return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0, Data: c.hello}
 		}
-		return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0,
-			Data: append([]byte("FINISHED:"), c.clientRandom[:16]...)}
+		return quicwire.Frame{Type: quicwire.FrameCrypto, Offset: 0, Data: c.finished}
 	case "HANDSHAKE_DONE":
 		return quicwire.Frame{Type: quicwire.FrameHandshakeDone}
 	case "MAX_DATA":
@@ -318,7 +366,7 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 			Limit: uint64(quicsim.Chunk * (1 + c.fcRaises))}
 	case "STREAM":
 		c.reqCount++
-		data := []byte(fmt.Sprintf("GET /page-%d", c.reqCount))
+		data := strconv.AppendInt(append(make([]byte, 0, 16), "GET /page-"...), int64(c.reqCount), 10)
 		f := quicwire.Frame{Type: quicwire.FrameStream, StreamID: 0,
 			Offset: c.streamSent, Data: data}
 		c.streamSent += uint64(len(data))
@@ -333,36 +381,49 @@ func (c *QUICClient) buildFrame(space int, name string) quicwire.Frame {
 // processResponses abstracts the server's datagrams (property 5), updating
 // client connection state along the way.
 func (c *QUICClient) processResponses(datagrams [][]byte) (string, []ConcretePacket) {
-	var labels []string
 	var conc []ConcretePacket
+	if len(datagrams) > 0 {
+		conc = make([]ConcretePacket, 0, len(datagrams))
+	}
+	label := append(c.label[:0], '{')
 	for _, dgram := range datagrams {
-		rest := dgram
-		for len(rest) > 0 {
-			label, cp, consumed := c.processPacket(rest)
+		for rest := dgram; len(rest) > 0; {
+			cp, consumed := c.processPacket(rest)
 			if consumed <= 0 {
 				break
 			}
 			rest = rest[consumed:]
-			if label != "" {
-				labels = append(labels, label)
-				conc = append(conc, cp)
+			if cp.Type == "" {
+				continue // nothing the learner can observe
 			}
+			if len(conc) > 0 {
+				label = append(label, ',')
+			}
+			label = append(label, cp.Type...)
+			label = append(label, "(?,?)["...)
+			label = quicwire.AppendFrameNames(label, cp.Frames)
+			label = append(label, ']')
+			conc = append(conc, cp)
 		}
 	}
-	return "{" + strings.Join(labels, ",") + "}", conc
+	label = append(label, '}')
+	c.label = label
+	return string(label), conc
 }
 
-// processPacket handles one server packet, returning its abstract label,
-// concrete form, and the number of bytes consumed from the datagram.
-func (c *QUICClient) processPacket(data []byte) (string, ConcretePacket, int) {
+// processPacket handles one server packet, returning its concrete form and
+// the number of bytes consumed from the datagram. The concrete form's Type
+// is empty when the packet yields nothing observable; otherwise the type
+// and frames spell the packet's abstract label.
+func (c *QUICClient) processPacket(data []byte) (ConcretePacket, int) {
 	hdr, err := quicwire.ParseHeader(data, quicsim.CIDLen)
 	if err != nil {
 		// Not parseable as a QUIC packet: check for a stateless reset
 		// (random-looking short-header datagram). Consume everything.
 		if c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			return ConcretePacket{Type: "RESET"}, len(data)
 		}
-		return "", ConcretePacket{}, len(data)
+		return ConcretePacket{}, len(data)
 	}
 	switch hdr.Type {
 	case quicwire.PacketRetry:
@@ -372,51 +433,54 @@ func (c *QUICClient) processPacket(data []byte) (string, ConcretePacket, int) {
 		}
 		if c.cfg.RetryFromNewPort {
 			// Issue 3: reopen the socket on a new port before retrying.
-			c.port++
+			c.setPort(c.port + 1)
 		}
-		return "RETRY(?,?)[]", ConcretePacket{Type: "RETRY"}, hdr.PayloadEnd
+		return ConcretePacket{Type: "RETRY"}, hdr.PayloadEnd
 	case quicwire.PacketVersionNegotiation:
-		return "VERSION_NEGOTIATION(?,?)[]", ConcretePacket{Type: "VERSION_NEGOTIATION"}, hdr.PayloadEnd
+		return ConcretePacket{Type: "VERSION_NEGOTIATION"}, hdr.PayloadEnd
 	}
 	space, ok := spaceFor(hdr.Type)
 	if !ok {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
 	keys := c.keys[space].recv
 	if keys == nil {
 		// Undecryptable: could be a stateless reset disguised as a short
 		// packet (they are indistinguishable by design, RFC 9000 §10.3).
 		if hdr.Type == quicwire.PacketShort && c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			return ConcretePacket{Type: "RESET"}, len(data)
 		}
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
-	buf := append([]byte(nil), data[:hdr.PayloadEnd]...)
+	// Remove header and packet protection in the receive buffer,
+	// decrypting the payload in place.
+	buf := append(c.rx[:0], data[:hdr.PayloadEnd]...)
+	c.rx = buf
 	if err := keys.UnprotectHeader(buf, hdr.PNOffset); err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
 	pn, err := quicwire.DecodePacketNumber(buf, hdr.PNOffset)
 	if err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
-	payload, err := keys.Open(buf[hdr.PNOffset+4:hdr.PayloadEnd], pn, buf[:hdr.PNOffset+4])
+	pnEnd := hdr.PNOffset + 4
+	payload, err := keys.Open(buf[pnEnd:pnEnd], buf[pnEnd:hdr.PayloadEnd], pn, buf[:pnEnd])
 	if err != nil {
 		if hdr.Type == quicwire.PacketShort && c.looksLikeReset(data) {
-			return "RESET(?,?)[]", ConcretePacket{Type: "RESET"}, len(data)
+			return ConcretePacket{Type: "RESET"}, len(data)
 		}
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
-	frames, err := quicwire.ParseFrames(payload)
+	frames, err := quicwire.ParseFrames(payload) // copies: the trace keeps them
 	if err != nil {
-		return "", ConcretePacket{}, hdr.PayloadEnd
+		return ConcretePacket{}, hdr.PayloadEnd
 	}
 	if pn > c.largestRecv[space] {
 		c.largestRecv[space] = pn
 	}
 	c.ackQueue[space] = true // a reactive ACK is now queued (property 1)
 	c.applyFrames(space, frames)
-	label := fmt.Sprintf("%s(?,?)[%s]", hdr.Type, quicwire.FrameNames(frames))
-	return label, ConcretePacket{Type: hdr.Type.String(), PacketNumber: pn, Frames: frames}, hdr.PayloadEnd
+	return ConcretePacket{Type: hdr.Type.String(), PacketNumber: pn, Frames: frames}, hdr.PayloadEnd
 }
 
 // looksLikeReset applies the reference implementation's stateless-reset
@@ -432,7 +496,7 @@ func (c *QUICClient) applyFrames(space int, frames []quicwire.Frame) {
 		if f.Type == quicwire.FrameCrypto && space == 0 && c.serverRandom == nil {
 			const prefix = "SERVER_HELLO:"
 			if len(f.Data) > len(prefix) && string(f.Data[:len(prefix)]) == prefix {
-				c.serverRandom = append([]byte(nil), f.Data[len(prefix):]...)
+				c.serverRandom = f.Data[len(prefix):]
 				c.deriveSessionKeys()
 			}
 		}
@@ -441,10 +505,9 @@ func (c *QUICClient) applyFrames(space int, frames []quicwire.Frame) {
 
 // deriveSessionKeys mirrors the server's simplified TLS schedule.
 func (c *QUICClient) deriveSessionKeys() {
-	hc, hs := quiccrypto.HandshakeSecrets(append([]byte("CLIENT_HELLO:"), c.clientRandom...), c.serverRandom)
-	ac, as := quiccrypto.AppSecrets(append([]byte("CLIENT_HELLO:"), c.clientRandom...), c.serverRandom)
-	c.keys[1].send = mustKeys(hc)
-	c.keys[1].recv = mustKeys(hs)
-	c.keys[2].send = mustKeys(ac)
-	c.keys[2].recv = mustKeys(as)
+	hc, hs, ac, as := quiccrypto.SessionSecrets(c.hello, c.serverRandom)
+	c.keys[1].send = mustKeys(hc[:])
+	c.keys[1].recv = mustKeys(hs[:])
+	c.keys[2].send = mustKeys(ac[:])
+	c.keys[2].recv = mustKeys(as[:])
 }

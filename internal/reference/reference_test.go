@@ -337,3 +337,34 @@ func TestTCPDeterministicAcrossResets(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceHoldsOnlyCurrentConnection checks that Reset starts a new
+// Oracle Table record for both clients: after many connections the trace
+// holds only the last one's exchanges, so a learn's memory does not grow
+// with its query count.
+func TestTraceHoldsOnlyCurrentConnection(t *testing.T) {
+	qcli, qsrv := newQUICPair(t, quicsim.ProfileGoogle)
+	for i := 0; i < 50; i++ {
+		run(t, qcli, qsrv, quicsim.SymInitialCrypto, quicsim.SymHandshakeC, quicsim.SymShortStream)
+	}
+	run(t, qcli, qsrv, quicsim.SymInitialHD, quicsim.SymInitialCrypto)
+	if trace := qcli.Trace(); len(trace) != 2 ||
+		trace[0].AbstractIn != quicsim.SymInitialHD || trace[1].AbstractIn != quicsim.SymInitialCrypto {
+		t.Fatalf("QUIC trace after 51 connections holds %d exchanges: %+v", len(trace), trace)
+	}
+	if err := qcli.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(qcli.Trace()); n != 0 {
+		t.Fatalf("QUIC trace right after Reset holds %d exchanges", n)
+	}
+
+	tcli, tsrv := newTCPPair(t)
+	for i := 0; i < 50; i++ {
+		runTCP(t, tcli, tsrv, "SYN(?,?,0)", "ACK(?,?,0)", "ACK+FIN(?,?,0)")
+	}
+	runTCP(t, tcli, tsrv, "SYN(?,?,0)")
+	if trace := tcli.Trace(); len(trace) != 1 || trace[0].AbstractIn != "SYN(?,?,0)" {
+		t.Fatalf("TCP trace after 51 connections holds %d exchanges: %+v", len(trace), trace)
+	}
+}

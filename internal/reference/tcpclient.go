@@ -76,7 +76,7 @@ func NewTCPClient(cfg TCPClientConfig, tr TCPTransport) *TCPClient {
 }
 
 // Reset starts a fresh connection attempt with a fresh (seeded) initial
-// sequence number.
+// sequence number and a new Oracle Table record.
 func (c *TCPClient) Reset() error {
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
@@ -84,10 +84,11 @@ func (c *TCPClient) Reset() error {
 	c.iss = c.rng.Uint32()
 	c.seq = c.iss
 	c.ack = 0
+	c.trace = nil
 	return nil
 }
 
-// Trace returns recorded exchanges.
+// Trace returns the exchanges recorded since the last Reset.
 func (c *TCPClient) Trace() []TCPExchange { return c.trace }
 
 // ClearTrace discards recorded exchanges.
