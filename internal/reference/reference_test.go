@@ -2,6 +2,7 @@ package reference_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/quicsim"
@@ -367,4 +368,32 @@ func TestTraceHoldsOnlyCurrentConnection(t *testing.T) {
 	if trace := tcli.Trace(); len(trace) != 1 || trace[0].AbstractIn != "SYN(?,?,0)" {
 		t.Fatalf("TCP trace after 51 connections holds %d exchanges: %+v", len(trace), trace)
 	}
+}
+
+// TestServerSharedAcrossClients drives one server from several goroutines,
+// each with its own client, so the race detector sees the server's scratch
+// buffers and keys used from every goroutine under its lock.
+func TestServerSharedAcrossClients(t *testing.T) {
+	srv := quicsim.NewServer(quicsim.Config{Profile: quicsim.ProfileGoogle, Seed: 7})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		cli := reference.NewQUICClient(reference.QUICClientConfig{Seed: int64(g)}, reference.ServerTransport(srv))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := cli.Reset(); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, sym := range quicsim.InputAlphabet() {
+					if _, err := cli.Step(sym); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

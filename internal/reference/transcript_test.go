@@ -1,6 +1,7 @@
 package reference_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,13 +14,17 @@ import (
 
 // recordingTransport forwards datagrams to an in-process server and folds
 // every datagram, in both directions, into a running transcript hash: the
-// direction, the datagram's length and its SHA-256.
+// direction, the datagram's length and its SHA-256. It keeps every
+// datagram with a copy taken when it passed, so a test can check that no
+// endpoint reused the storage of a datagram it handed out.
 type recordingTransport struct {
 	inner reference.Transport
 	h     hash.Hash
+	kept  [][2][]byte
 }
 
 func (r *recordingTransport) record(dir byte, src string, d []byte) {
+	r.kept = append(r.kept, [2][]byte{d, bytes.Clone(d)})
 	sum := sha256.Sum256(d)
 	var hdr [5]byte
 	hdr[0] = dir
@@ -114,6 +119,11 @@ func TestWireTranscriptGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(rec.h.Sum(nil)); got != c.want {
 			t.Errorf("%s: wire transcript digest\n got %s\nwant %s", c.name, got, c.want)
+		}
+		for i, k := range rec.kept {
+			if !bytes.Equal(k[0], k[1]) {
+				t.Fatalf("%s: datagram %d changed after it was handed to the transport", c.name, i)
+			}
 		}
 	}
 	for _, typ := range []string{"INITIAL", "HANDSHAKE", "SHORT", "RETRY", "VERSION_NEGOTIATION", "RESET"} {
