@@ -628,6 +628,52 @@ func BenchmarkWarmRelearn(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreOpen — the warm path's set-up: opening a persistent query
+// store replays its whole log, so the cost grows with the entries logged.
+// Each size opens a log of google-shaped entries (random words of 1 to 8
+// inputs over the google alphabet, answered by its specification, as a
+// google learn logs them); comparing the sizes shows whether per-entry
+// cost holds as the log grows. allocs/op is gated in CI.
+func BenchmarkStoreOpen(b *testing.B) {
+	google := quicsim.GroundTruth(quicsim.ProfileGoogle)
+	inputs := google.Inputs()
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := learn.OpenStore(dir, "google")
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(1))
+			for i := 0; i < n; i++ {
+				word := make([]string, 1+r.Intn(8))
+				for j := range word {
+					word[j] = inputs[r.Intn(len(inputs))]
+				}
+				out, _ := google.Run(word)
+				if err := st.Append(word, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := learn.OpenStore(dir, "google")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := st.Entries(); got != n {
+					b.Fatalf("reopened store has %d entries, want %d", got, n)
+				}
+				st.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkUDPQueriesPerSec — the batched UDP hot path: fixed-count query
 // throughput over real loopback sockets, batched vs the per-packet legacy
 // path, across worker counts, on a clean link and at 5% loss. Every arm

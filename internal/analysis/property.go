@@ -9,8 +9,8 @@ import (
 )
 
 // Property is a model-level requirement checked exhaustively against a
-// learned model: where internal/props checks one recorded packet trace, a
-// Property explores every behaviour of the model and returns a shortest
+// learned model: rather than one recorded packet trace, a Property
+// explores every behaviour of the model and returns a shortest
 // concrete witness when the model can violate it. Absence of a violation is
 // a guarantee about the model (and, to the extent the model is faithful,
 // about the implementation — the paper's §5 workflow replays witnesses

@@ -29,14 +29,19 @@ type header struct {
 // invalid tail is truncated away, leaving the file positioned at the end
 // of the valid prefix, ready for appends.
 //
+// The line passed to accept (trailing newline included) aliases Recover's
+// read buffer and is overwritten by the next read: accept must not retain
+// it or any sub-slice of it. Decoding it with json.Unmarshal into string
+// fields is safe; those copy.
+//
 // headerOK=false means the file was empty, foreign, or from a future
 // version: nothing was read and the caller should Reset it.
 func Recover(f *os.File, format string, maxVersion int, accept func(line []byte) bool) (headerOK bool, err error) {
 	if _, err := f.Seek(0, 0); err != nil {
 		return false, err
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	line, rerr := r.ReadBytes('\n')
+	r := lineReader{r: bufio.NewReaderSize(f, 1<<16)}
+	line, rerr := r.next()
 	var hdr header
 	if rerr != nil || json.Unmarshal(line, &hdr) != nil ||
 		hdr.Format != format || hdr.Version > maxVersion {
@@ -44,7 +49,7 @@ func Recover(f *os.File, format string, maxVersion int, accept func(line []byte)
 	}
 	good := int64(len(line))
 	for {
-		line, rerr = r.ReadBytes('\n')
+		line, rerr = r.next()
 		if rerr != nil || !bytes.HasSuffix(line, []byte{'\n'}) || !accept(line) {
 			break
 		}
@@ -55,6 +60,30 @@ func Recover(f *os.File, format string, maxVersion int, accept func(line []byte)
 	}
 	_, err = f.Seek(good, 0)
 	return true, err
+}
+
+// lineReader reads newline-terminated lines without copying them: a line
+// that fits the bufio buffer is returned in place, and only a longer one
+// is assembled into long (reused across such lines).
+type lineReader struct {
+	r    *bufio.Reader
+	long []byte
+}
+
+// next returns the next line, trailing newline included. As with
+// bufio.Reader.ReadSlice, a non-nil error means the line is incomplete,
+// and the returned bytes are valid only until the following call.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	lr.long = append(lr.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = lr.r.ReadSlice('\n')
+		lr.long = append(lr.long, line...)
+	}
+	return lr.long, err
 }
 
 // Reset empties the file down to a fresh header.

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -111,11 +112,24 @@ func OpenStore(dir, key string) (*Store, error) {
 }
 
 // load recovers the log's valid prefix (jsonlog.Recover), resetting a
-// file whose header is missing, foreign, or from a future version.
+// file whose header is missing, foreign, or from a future version. Lines
+// in the canonical form Append writes take the decodeEntry fast path;
+// every other line goes to json.Unmarshal, and both answers face the same
+// checks.
 func (s *Store) load() error {
+	syms := make(map[string]string)
 	ok, err := jsonlog.Recover(s.f, storeFormat, storeVersion, func(line []byte) bool {
-		var e storeEntry
-		if json.Unmarshal(line, &e) != nil || len(e.Out) < len(e.In) {
+		e, ok := decodeEntry(line, syms)
+		if !ok {
+			// A separate variable: taking e's address would move it to
+			// the heap on the fast path too.
+			var slow storeEntry
+			if json.Unmarshal(line, &slow) != nil {
+				return false
+			}
+			e = slow
+		}
+		if len(e.Out) < len(e.In) {
 			return false
 		}
 		s.entries = append(s.entries, e)
@@ -128,6 +142,91 @@ func (s *Store) load() error {
 		return jsonlog.Reset(s.f, storeFormat, storeVersion)
 	}
 	return nil
+}
+
+// decodeEntry decodes the canonical line Append writes without
+// reflection: exactly {"in":[...],"out":[...]} and a newline, with no
+// whitespace and only plain strings (see plainArray). It reports false,
+// decoding nothing, for any other line; those are left to json.Unmarshal,
+// which gives the same entry for every line accepted here
+// (FuzzStoreEntryDecode). Symbols are interned through syms, so a log's
+// repeated symbols share one string, and In and Out are carved from one
+// allocation. line is not retained.
+func decodeEntry(line []byte, syms map[string]string) (storeEntry, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"in":`))
+	if !ok {
+		return storeEntry{}, false
+	}
+	in := rest
+	nIn, rest, ok := plainArray(rest)
+	if !ok {
+		return storeEntry{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"out":`)); !ok {
+		return storeEntry{}, false
+	}
+	out := rest
+	nOut, rest, ok := plainArray(rest)
+	if !ok || string(rest) != "}\n" {
+		return storeEntry{}, false
+	}
+	strs := make([]string, nIn+nOut)
+	fillArray(strs[:nIn], in, syms)
+	fillArray(strs[nIn:], out, syms)
+	return storeEntry{In: strs[:nIn:nIn], Out: strs[nIn:]}, true
+}
+
+// plainArray validates the JSON array of plain strings that b starts
+// with, returning its length and the bytes after it. A plain string holds
+// only printable ASCII other than '"' and '\\': no escapes, no control
+// bytes, nothing above 0x7e, so JSON reads its bytes verbatim.
+func plainArray(b []byte) (n int, rest []byte, ok bool) {
+	if len(b) < 2 || b[0] != '[' {
+		return 0, nil, false
+	}
+	if b[1] == ']' {
+		return 0, b[2:], true
+	}
+	i := 1
+	for {
+		if i == len(b) || b[i] != '"' {
+			return 0, nil, false
+		}
+		for i++; i < len(b) && b[i] != '"'; i++ {
+			if c := b[i]; c < 0x20 || c > 0x7e || c == '\\' {
+				return 0, nil, false
+			}
+		}
+		if i++; i >= len(b) {
+			return 0, nil, false
+		}
+		n++
+		switch b[i] {
+		case ']':
+			return n, b[i+1:], true
+		case ',':
+			i++
+		default:
+			return 0, nil, false
+		}
+	}
+}
+
+// fillArray interns the strings of an array plainArray accepted (b starts
+// at its '[') into dst, which has room for exactly those strings. Plain
+// strings hold no '"', so each one runs from one quote to the next.
+func fillArray(dst []string, b []byte, syms map[string]string) {
+	for k := range dst {
+		start := bytes.IndexByte(b, '"') + 1
+		end := start + bytes.IndexByte(b[start:], '"')
+		sym, ok := syms[string(b[start:end])]
+		if !ok {
+			sym = string(b[start:end])
+			syms[sym] = sym
+		}
+		dst[k] = sym
+		b = b[end+1:]
+	}
 }
 
 // Entries returns the number of logged queries (loaded plus appended).
